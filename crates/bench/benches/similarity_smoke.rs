@@ -43,7 +43,7 @@ fn main() {
         duplicate_pairs: 60,
         seed: 17,
     });
-    let prepared = pipeline::prepare(&dataset);
+    let prepared = pipeline::prepare_with(&dataset, pipeline::DEFAULT_MAX_DF_FRACTION);
     let scorer = BatchScorer::new(&prepared.corpus);
     let idx: Vec<(u32, u32)> = prepared.graph.pairs().iter().map(|p| (p.a, p.b)).collect();
     let cells = scorer.cells(&idx);

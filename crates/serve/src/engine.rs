@@ -17,25 +17,18 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use er_core::{CliqueRankCache, FusionConfig, FusionOutcome, Resolver};
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use er_graph::{BipartiteGraph, UnionFind};
 use er_pool::WorkerPool;
 use er_text::lsh::SignatureCache;
 use er_text::{
-    BatchScorer, BlockingStrategy, Corpus, CorpusBuilder, SimKernel, StreamingCorpus, TermId,
+    candidate_graph, seed_similarities, BlockingStrategy, Corpus, CorpusBuilder, StreamingCorpus,
+    DEFAULT_MAX_DF_FRACTION,
 };
 
 use crate::snapshot::{QueryHandle, SharedState, Snapshot};
 
-/// Default frequent-term cap, matching the batch pipeline's
-/// `unsupervised_er::pipeline::DEFAULT_MAX_DF_FRACTION`.
-pub const DEFAULT_MAX_DF_FRACTION: f64 = 0.05;
-
-/// Seed-similarity kernel, matching the batch pipeline's
-/// `unsupervised_er::pipeline::SEED_KERNEL`.
-pub const SEED_KERNEL: SimKernel = SimKernel::JaroWinkler;
-
-/// Default [`ServeConfig::cache_max_age`]: cached component solutions
-/// untouched for this many resolve epochs are evicted.
+/// Cached component solutions untouched for more than this many resolve
+/// epochs are evicted ([`CliqueRankCache::evict_stale`]).
 pub const DEFAULT_CACHE_MAX_AGE: u64 = 8;
 
 /// Configuration of a [`ServeEngine`].
@@ -52,12 +45,6 @@ pub struct ServeConfig {
     /// Frequent-term cap forwarded to
     /// [`StreamingCorpus::materialize`].
     pub max_df_fraction: f64,
-    /// Posting-list spill fraction that triggers staged compaction
-    /// ([`StreamingCorpus::with_compaction_threshold`]).
-    pub compaction_threshold: f64,
-    /// CliqueRank cache entries untouched for more than this many
-    /// resolve epochs are evicted ([`CliqueRankCache::evict_stale`]).
-    pub cache_max_age: u64,
 }
 
 impl Default for ServeConfig {
@@ -66,8 +53,6 @@ impl Default for ServeConfig {
             fusion: FusionConfig::default(),
             strategy: BlockingStrategy::TokenGraph,
             max_df_fraction: DEFAULT_MAX_DF_FRACTION,
-            compaction_threshold: er_text::DEFAULT_COMPACTION_THRESHOLD,
-            cache_max_age: DEFAULT_CACHE_MAX_AGE,
         }
     }
 }
@@ -93,13 +78,12 @@ impl ServeEngine {
     /// no records.
     pub fn new(config: ServeConfig) -> Self {
         let pool = WorkerPool::with_policy(config.fusion.threads, config.fusion.dispatch);
-        let corpus = StreamingCorpus::with_compaction_threshold(config.compaction_threshold);
         Self {
             config,
             pool,
-            corpus,
+            corpus: StreamingCorpus::new(),
             signatures: SignatureCache::new(),
-            cache: CliqueRankCache::exact(),
+            cache: CliqueRankCache::new(),
             shared: Arc::new(SharedState::new()),
             resolved_records: 0,
             resolves: 0,
@@ -183,12 +167,14 @@ impl ServeEngine {
         let snapshot = if corpus.is_empty() {
             Arc::new(Snapshot::empty(epoch))
         } else {
-            let graph = candidate_graph_cached(
-                &corpus,
-                &self.config.strategy,
-                &self.pool,
-                &mut self.signatures,
-            );
+            // TokenGraph admits every co-occurring pair: no list to build.
+            let allowed = match &self.config.strategy {
+                BlockingStrategy::TokenGraph => None,
+                strategy => {
+                    Some(strategy.candidate_pairs_cached(&corpus, &self.pool, &mut self.signatures))
+                }
+            };
+            let graph = candidate_graph(&corpus, allowed.as_deref(), None);
             er_obs::gauge_set(
                 "serve.dirty_components",
                 dirty_components(&graph, corpus.len(), self.resolved_records) as f64,
@@ -202,7 +188,7 @@ impl ServeEngine {
             );
             Arc::new(Snapshot::from_outcome(epoch, corpus.len(), &graph, outcome))
         };
-        let evicted = self.cache.evict_stale(self.config.cache_max_age);
+        let evicted = self.cache.evict_stale(DEFAULT_CACHE_MAX_AGE);
         er_obs::counter_add("serve.cache_evictions", evicted as u64);
         er_obs::gauge_set("serve.epoch", epoch as f64);
         self.shared.publish(snapshot.clone());
@@ -240,59 +226,17 @@ where
     if corpus.is_empty() {
         return Snapshot::empty(0);
     }
-    let graph = candidate_graph(&corpus, &config.strategy, &pool);
+    let allowed = match &config.strategy {
+        BlockingStrategy::TokenGraph => None,
+        strategy => Some(strategy.candidate_pairs(&corpus, &pool)),
+    };
+    let graph = candidate_graph(&corpus, allowed.as_deref(), None);
     let outcome = resolve_graph(&corpus, &graph, &config.fusion, &pool, None);
     Snapshot::from_outcome(0, corpus.len(), &graph, outcome)
 }
 
-/// Builds the candidate bipartite graph for `corpus` under `strategy`
-/// (mirrors `unsupervised_er::pipeline::prepare_with_strategy` without a
-/// source policy — the serving engine deduplicates a single stream).
-fn candidate_graph(
-    corpus: &Corpus,
-    strategy: &BlockingStrategy,
-    pool: &WorkerPool,
-) -> BipartiteGraph {
-    let allowed = match strategy {
-        BlockingStrategy::TokenGraph => None,
-        _ => Some(strategy.candidate_pairs(corpus, pool)),
-    };
-    build_graph(corpus, allowed)
-}
-
-/// [`candidate_graph`] with MinHash signatures maintained in `cache` —
-/// identical output.
-fn candidate_graph_cached(
-    corpus: &Corpus,
-    strategy: &BlockingStrategy,
-    pool: &WorkerPool,
-    cache: &mut SignatureCache,
-) -> BipartiteGraph {
-    let allowed = match strategy {
-        BlockingStrategy::TokenGraph => None,
-        _ => Some(strategy.candidate_pairs_cached(corpus, pool, cache)),
-    };
-    build_graph(corpus, allowed)
-}
-
-fn build_graph(corpus: &Corpus, allowed: Option<Vec<(u32, u32)>>) -> BipartiteGraph {
-    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-    for i in 0..corpus.vocab_len() {
-        let t = TermId(i as u32);
-        builder = builder.postings(t.0, corpus.postings(t));
-    }
-    if let Some(allowed) = allowed {
-        builder = builder.pair_filter(move |a, b| {
-            allowed
-                .binary_search(&if a < b { (a, b) } else { (b, a) })
-                .is_ok()
-        });
-    }
-    builder.build()
-}
-
-/// Seeds ITER with batched [`SEED_KERNEL`] similarities and runs the
-/// fusion loop, through the CliqueRank cache when one is supplied.
+/// Seeds ITER with batched [`seed_similarities`] and runs the fusion
+/// loop, through the CliqueRank cache when one is supplied.
 fn resolve_graph(
     corpus: &Corpus,
     graph: &BipartiteGraph,
@@ -300,8 +244,7 @@ fn resolve_graph(
     pool: &WorkerPool,
     cache: Option<&mut CliqueRankCache>,
 ) -> FusionOutcome {
-    let idx: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
-    let seed = BatchScorer::new(corpus).score(SEED_KERNEL, &idx, pool);
+    let seed = seed_similarities(corpus, graph, pool);
     let resolver = Resolver::new(config.clone());
     match cache {
         Some(c) => resolver.resolve_cached(graph, Some(&seed), c),
@@ -317,25 +260,14 @@ fn resolve_graph(
 /// components invalidated indirectly (e.g. a frequent-term flip
 /// changing similarities in a component no new record touches).
 fn dirty_components(graph: &BipartiteGraph, n_records: usize, resolved_records: usize) -> usize {
-    let mut parent: Vec<u32> = (0..n_records as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
+    let mut uf = UnionFind::new(n_records);
     for p in graph.pairs() {
-        let (ra, rb) = (find(&mut parent, p.a), find(&mut parent, p.b));
-        if ra != rb {
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            parent[hi as usize] = lo;
-        }
+        uf.union(p.a, p.b);
     }
     let mut dirty_root = vec![false; n_records];
     let mut dirty = 0usize;
     for r in resolved_records..n_records {
-        let root = find(&mut parent, r as u32) as usize;
+        let root = uf.find(r as u32) as usize;
         if !dirty_root[root] {
             dirty_root[root] = true;
             dirty += 1;
@@ -480,7 +412,7 @@ mod tests {
         let corpus = CorpusBuilder::new()
             .extend_texts(["a b", "a c", "d e", "d f", "g h"])
             .build();
-        let graph = build_graph(&corpus, None);
+        let graph = candidate_graph(&corpus, None, None);
         // All records new: {0,1}, {2,3}, {4} → 3 dirty components.
         assert_eq!(dirty_components(&graph, 5, 0), 3);
         // Only record 4 new: its singleton component alone is dirty.
@@ -490,18 +422,16 @@ mod tests {
 
     #[test]
     fn stale_cache_entries_are_evicted_over_epochs() {
-        let mut config = small_config();
-        config.cache_max_age = 1;
-        let mut engine = ServeEngine::new(config);
+        let mut engine = ServeEngine::new(small_config());
         engine.ingest_batch(texts().iter().take(4));
         engine.resolve();
         let after_first = engine.cache().len();
         assert!(after_first > 0);
-        // Many further epochs over a disjoint new component: entries of
-        // vanished components age out under max_age = 1.
+        // Enough further epochs over a disjoint new component for every
+        // entry of a vanished component to age past the default limit.
         engine.ingest("zz yy xx");
         engine.ingest("zz yy xx ww");
-        for _ in 0..4 {
+        for _ in 0..=DEFAULT_CACHE_MAX_AGE + 1 {
             engine.resolve();
         }
         assert!(
@@ -509,5 +439,27 @@ mod tests {
             "cache stays bounded: {}",
             engine.cache().len()
         );
+    }
+
+    #[test]
+    fn resolve_without_ingest_republishes_the_same_resolution() {
+        let mut engine = ServeEngine::new(small_config());
+        engine.ingest_batch(texts());
+        let first = engine.resolve();
+        let misses = engine.cache().misses();
+        let second = engine.resolve();
+        assert!(second.bitwise_eq(&first));
+        assert_eq!(second.epoch(), first.epoch() + 1);
+        assert_eq!(engine.cache().misses(), misses, "nothing to re-solve");
+    }
+
+    #[test]
+    fn ingesting_an_exact_copy_links_it_to_the_original() {
+        let mut engine = ServeEngine::new(small_config());
+        engine.ingest_batch(texts());
+        engine.resolve();
+        let copy = engine.ingest(texts()[0]);
+        let snap = engine.resolve();
+        assert!(snap.is_match(0, copy), "matches: {:?}", snap.matches());
     }
 }

@@ -45,8 +45,5 @@
 pub mod engine;
 pub mod snapshot;
 
-pub use engine::{
-    resolve_batch, ServeConfig, ServeEngine, DEFAULT_CACHE_MAX_AGE, DEFAULT_MAX_DF_FRACTION,
-    SEED_KERNEL,
-};
+pub use engine::{resolve_batch, ServeConfig, ServeEngine, DEFAULT_CACHE_MAX_AGE};
 pub use snapshot::{QueryHandle, Snapshot};

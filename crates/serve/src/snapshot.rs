@@ -125,15 +125,16 @@ impl Snapshot {
         self.cluster_of.get(r as usize).copied()
     }
 
-    /// Members of cluster `c`, sorted ascending.
-    pub fn cluster_members(&self, c: u32) -> &[u32] {
-        &self.clusters[c as usize]
+    /// Members of cluster `c`, sorted ascending (`None` when `c` is not
+    /// a cluster index of this snapshot).
+    pub fn cluster_members(&self, c: u32) -> Option<&[u32]> {
+        self.clusters.get(c as usize).map(Vec::as_slice)
     }
 
     /// Records in the same entity cluster as `r` (including `r`), or
     /// `None` when `r` is not covered yet.
     pub fn cluster_of(&self, r: u32) -> Option<&[u32]> {
-        self.cluster_id(r).map(|c| self.cluster_members(c))
+        self.cluster_id(r).and_then(|c| self.cluster_members(c))
     }
 
     /// Bitwise result equality, ignoring the epoch stamp: candidate
@@ -241,5 +242,29 @@ impl QueryHandle {
     /// The epoch of the snapshot this handle currently reads from.
     pub fn epoch(&self) -> u64 {
         self.seen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_core::{FusionConfig, Resolver};
+    use er_graph::BipartiteGraphBuilder;
+
+    #[test]
+    fn cluster_members_out_of_range_is_none() {
+        let graph = BipartiteGraphBuilder::new(3, 1)
+            .postings(0, &[0, 1])
+            .build();
+        let outcome = Resolver::new(FusionConfig::default()).resolve(&graph);
+        let snap = Snapshot::from_outcome(1, 3, &graph, outcome);
+        let n = snap.clusters().len() as u32;
+        assert!(n > 0);
+        assert_eq!(
+            snap.cluster_members(n - 1),
+            Some(&snap.clusters()[n as usize - 1][..])
+        );
+        assert_eq!(snap.cluster_members(n), None);
+        assert_eq!(Snapshot::empty(0).cluster_members(0), None);
     }
 }

@@ -10,10 +10,12 @@
 //! over the block graph ([`crate::metablocking`]) — plug in through the
 //! same [`BlockingStrategy`] switch.
 //!
-//! All strategies produce `(a, b)` candidate pairs compatible with
-//! `er_graph::BipartiteGraphBuilder::pair_filter`, so they compose with
-//! the rest of the pipeline.
+//! All strategies produce sorted `(a, b)` candidate pairs, and
+//! [`candidate_graph`] turns a corpus plus such a list into the term ↔
+//! pair bipartite graph every resolver consumes — the one place the
+//! batch pipeline, the serving engine and the baselines build it.
 
+use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
 use er_pool::WorkerPool;
 
 use crate::corpus::Corpus;
@@ -162,6 +164,29 @@ impl BlockingStrategy {
     }
 }
 
+/// Builds the term ↔ pair bipartite graph of `corpus`: every record
+/// pair sharing a post-filter term, restricted to `allowed` (a sorted
+/// `(a, b)` candidate list with `a < b`, as [`BlockingStrategy`]
+/// produces; `None` admits every co-occurring pair) and to `policy`
+/// (e.g. cross-source only; `None` admits every pair).
+pub fn candidate_graph(
+    corpus: &Corpus,
+    allowed: Option<&[(u32, u32)]>,
+    policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
+) -> BipartiteGraph {
+    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
+    for t in 0..corpus.vocab_len() as u32 {
+        builder = builder.postings(t, corpus.postings(TermId(t)));
+    }
+    if allowed.is_some() || policy.is_some() {
+        builder = builder.pair_filter(move |a, b| {
+            policy.is_none_or(|f| f(a, b))
+                && allowed.is_none_or(|l| l.binary_search(&(a.min(b), a.max(b))).is_ok())
+        });
+    }
+    builder.build()
+}
+
 /// Token blocking: candidates are all pairs co-occurring in at least one
 /// term's postings, with terms above `max_block_size` skipped (their
 /// blocks are quadratic and nearly information-free).
@@ -244,6 +269,20 @@ pub fn score_candidates(
     pool: &WorkerPool,
 ) -> Vec<f64> {
     BatchScorer::new(corpus).score(kernel, pairs, pool)
+}
+
+/// The kernel used for ITER's seed-similarity step: Jaro-Winkler is
+/// the cheapest of the batch kernels (bit-parallel match scan, no full
+/// DP matrix) and its prefix bonus suits the record texts' name-first
+/// token order.
+pub const SEED_KERNEL: SimKernel = SimKernel::JaroWinkler;
+
+/// Batched seed similarities for every candidate pair of `graph`,
+/// aligned with `graph.pairs()`: [`SEED_KERNEL`] over the record texts
+/// ([`score_candidates`]). Bit-identical at any thread count.
+pub fn seed_similarities(corpus: &Corpus, graph: &BipartiteGraph, pool: &WorkerPool) -> Vec<f64> {
+    let pairs: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
+    score_candidates(corpus, &pairs, SEED_KERNEL, pool)
 }
 
 /// Meta-blocking-style candidate pruning: scores every candidate with
@@ -350,6 +389,26 @@ mod tests {
             .push_text("grill dayton 9560 beverly")
             .push_text("unrelated words only")
             .build()
+    }
+
+    #[test]
+    fn candidate_graph_applies_allowed_list_and_policy() {
+        let c = corpus();
+        let pairs = |g: &BipartiteGraph| -> Vec<(u32, u32)> {
+            g.pairs().iter().map(|p| (p.a, p.b)).collect()
+        };
+        let full = candidate_graph(&c, None, None);
+        assert_eq!(pairs(&full), token_blocking(&c, usize::MAX));
+        let allowed = [(0, 1), (0, 2)];
+        assert_eq!(pairs(&candidate_graph(&c, Some(&allowed), None)), [(0, 1)]);
+        let odd_even = |a: u32, b: u32| a % 2 != b % 2;
+        assert_eq!(
+            pairs(&candidate_graph(&c, None, Some(&odd_even))),
+            [(0, 1), (2, 3)]
+        );
+        assert!(candidate_graph(&c, Some(&allowed), Some(&|_, _| false))
+            .pairs()
+            .is_empty());
     }
 
     #[test]

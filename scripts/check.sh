@@ -21,4 +21,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> cargo test perfbench (the benchmark's use of the public API)"
+# perfbench/ is a workspace of its own, so the workspace build above
+# never compiles it: a removed or renamed public item it calls would
+# otherwise pass this gate and break the benchmark.
+cargo test --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."

@@ -44,13 +44,11 @@ pub use er_ml as ml;
 pub use er_serve as serve;
 pub use er_text as text;
 
-/// The types most applications need.
 pub mod explain;
-pub mod incremental;
 
+/// The types most applications need.
 pub mod prelude {
     pub use crate::explain::{explain_pair, rank_candidates};
-    pub use crate::incremental::IncrementalResolver;
     pub use er_core::{
         BoostMode, CliqueRankConfig, FusionConfig, FusionOutcome, IterConfig, Resolver, RssConfig,
     };
@@ -69,20 +67,11 @@ pub mod pipeline {
     use er_core::{FusionConfig, FusionOutcome, Resolver};
     use er_datasets::{Dataset, SourcePolicy};
     use er_eval::{evaluate_pairs, ConfusionCounts, TruthPairs};
-    use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+    use er_graph::BipartiteGraph;
     use er_pool::WorkerPool;
-    use er_text::{BatchScorer, BlockingStrategy, Corpus, CorpusBuilder, SimKernel, TermId};
+    use er_text::{candidate_graph, BlockingStrategy, Corpus, CorpusBuilder};
 
-    /// Default frequent-term filter (§VII-A): drop terms occurring in
-    /// more than this fraction of records.
-    ///
-    /// The paper only says it removes "very frequent" terms, but its
-    /// Table III graph statistics pin the regime down: the Restaurant
-    /// record graph has just 5 320 edges out of 367 653 candidate pairs,
-    /// which requires cutting domain words (cuisines, cities, street
-    /// suffixes) and not only stop words. 5 % reproduces that regime;
-    /// per-dataset overrides are available via [`prepare_with`].
-    pub const DEFAULT_MAX_DF_FRACTION: f64 = 0.05;
+    pub use er_text::{seed_similarities, DEFAULT_MAX_DF_FRACTION, SEED_KERNEL};
 
     /// The prepared inputs shared by the fusion framework and every
     /// baseline: the tokenized corpus, the candidate bipartite graph and
@@ -97,77 +86,45 @@ pub mod pipeline {
         pub truth: TruthPairs,
     }
 
-    /// Tokenizes a dataset and builds its candidate bipartite graph with
-    /// the default frequent-term filter.
-    pub fn prepare(dataset: &Dataset) -> Prepared {
-        prepare_with(dataset, DEFAULT_MAX_DF_FRACTION)
-    }
-
-    /// [`prepare`] with an explicit frequent-term cap.
+    /// Tokenizes a dataset with an explicit frequent-term cap and builds
+    /// its candidate bipartite graph under the dataset's candidate
+    /// policy ([`BlockingStrategy::TokenGraph`]).
     pub fn prepare_with(dataset: &Dataset, max_df_fraction: f64) -> Prepared {
-        let corpus = CorpusBuilder::new()
-            .extend_texts(dataset.texts())
-            .max_df_fraction(max_df_fraction)
-            .build();
-        let graph = bipartite_graph(&corpus, dataset);
-        let truth = TruthPairs::from_pairs(dataset.matching_pairs());
-        Prepared {
-            corpus,
-            graph,
-            truth,
-        }
-    }
-
-    /// Builds the term ↔ pair bipartite graph for a corpus under the
-    /// dataset's candidate policy.
-    pub fn bipartite_graph(corpus: &Corpus, dataset: &Dataset) -> BipartiteGraph {
-        let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-        for i in 0..corpus.vocab_len() {
-            let t = TermId(i as u32);
-            builder = builder.postings(t.0, corpus.postings(t));
-        }
-        let sources = dataset.sources();
-        if dataset.policy == SourcePolicy::CrossSourceOnly {
-            builder = builder.pair_filter(move |a, b| sources[a as usize] != sources[b as usize]);
-        }
-        builder.build()
+        let pool = WorkerPool::new(1);
+        prepare_with_strategy(
+            dataset,
+            max_df_fraction,
+            &BlockingStrategy::TokenGraph,
+            &pool,
+        )
     }
 
     /// [`prepare_with`] under an explicit [`BlockingStrategy`]: the
     /// strategy generates the candidate universe and the bipartite
     /// graph's pair enumeration is restricted to it (composed with the
-    /// dataset's candidate policy). [`BlockingStrategy::TokenGraph`]
-    /// reproduces [`prepare_with`] exactly; the scalable strategies
-    /// (LSH, meta-blocking) shrink the graph before ITER/CliqueRank
-    /// ever see it.
+    /// dataset's candidate policy). [`BlockingStrategy::TokenGraph`] is
+    /// the unrestricted token graph; the scalable strategies (LSH,
+    /// meta-blocking) shrink the graph before ITER/CliqueRank ever see
+    /// it.
     pub fn prepare_with_strategy(
         dataset: &Dataset,
         max_df_fraction: f64,
         strategy: &BlockingStrategy,
         pool: &WorkerPool,
     ) -> Prepared {
-        if matches!(strategy, BlockingStrategy::TokenGraph) {
-            return prepare_with(dataset, max_df_fraction);
-        }
         let corpus = CorpusBuilder::new()
             .extend_texts(dataset.texts())
             .max_df_fraction(max_df_fraction)
             .build();
-        let allowed = strategy.candidate_pairs(&corpus, pool);
-        let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-        for i in 0..corpus.vocab_len() {
-            let t = TermId(i as u32);
-            builder = builder.postings(t.0, corpus.postings(t));
-        }
+        let allowed = match strategy {
+            BlockingStrategy::TokenGraph => None,
+            _ => Some(strategy.candidate_pairs(&corpus, pool)),
+        };
         let sources = dataset.sources();
-        let cross_only = dataset.policy == SourcePolicy::CrossSourceOnly;
-        builder = builder.pair_filter(move |a, b| {
-            (!cross_only || sources[a as usize] != sources[b as usize])
-                && allowed
-                    .binary_search(&if a < b { (a, b) } else { (b, a) })
-                    .is_ok()
-        });
-        let graph = builder.build();
+        let cross = |a: u32, b: u32| sources[a as usize] != sources[b as usize];
+        let policy = (dataset.policy == SourcePolicy::CrossSourceOnly)
+            .then_some(&cross as &(dyn Fn(u32, u32) -> bool + Sync));
+        let graph = candidate_graph(&corpus, allowed.as_deref(), policy);
         let truth = TruthPairs::from_pairs(dataset.matching_pairs());
         Prepared {
             corpus,
@@ -193,54 +150,11 @@ pub mod pipeline {
         }
     }
 
-    /// Prepares a dataset and runs the full fusion loop.
+    /// Prepares a dataset at [`DEFAULT_MAX_DF_FRACTION`] and runs the
+    /// full fusion loop.
     pub fn resolve_dataset(dataset: &Dataset, config: &FusionConfig) -> ResolvedRun {
-        let prepared = prepare(dataset);
+        let prepared = prepare_with(dataset, DEFAULT_MAX_DF_FRACTION);
         let outcome = Resolver::new(config.clone()).resolve(&prepared.graph);
-        ResolvedRun { prepared, outcome }
-    }
-
-    /// The kernel used for ITER's seed-similarity step: Jaro-Winkler is
-    /// the cheapest of the batch kernels (bit-parallel match scan, no
-    /// full DP matrix) and its prefix bonus suits the record texts'
-    /// name-first token order.
-    pub const SEED_KERNEL: SimKernel = SimKernel::JaroWinkler;
-
-    /// Batched seed similarities for every candidate pair of `graph`,
-    /// aligned with `graph.pairs()`: [`SEED_KERNEL`] over the record
-    /// texts on the string tape. Bit-identical at any thread count.
-    pub fn seed_similarities(
-        corpus: &Corpus,
-        graph: &BipartiteGraph,
-        pool: &WorkerPool,
-    ) -> Vec<f64> {
-        let scorer = BatchScorer::new(corpus);
-        let idx: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
-        scorer.score(SEED_KERNEL, &idx, pool)
-    }
-
-    /// [`resolve_dataset`] with ITER's first round seeded by batched
-    /// string similarities ([`seed_similarities`]) instead of the
-    /// uniform §V-C initialization: the reinforcement starts from
-    /// informed edge weights, computed on the batch engine in one sweep
-    /// over the candidate list.
-    pub fn resolve_dataset_seeded(dataset: &Dataset, config: &FusionConfig) -> ResolvedRun {
-        resolve_dataset_seeded_with(dataset, config, &BlockingStrategy::TokenGraph)
-    }
-
-    /// [`resolve_dataset_seeded`] with the candidate universe generated
-    /// by an explicit [`BlockingStrategy`]: blocking, seeding and the
-    /// fusion loop all share one worker pool, and the seeded ITER round
-    /// only ever scores pairs the strategy admitted.
-    pub fn resolve_dataset_seeded_with(
-        dataset: &Dataset,
-        config: &FusionConfig,
-        strategy: &BlockingStrategy,
-    ) -> ResolvedRun {
-        let pool = WorkerPool::with_policy(config.threads, config.dispatch);
-        let prepared = prepare_with_strategy(dataset, DEFAULT_MAX_DF_FRACTION, strategy, &pool);
-        let seed = seed_similarities(&prepared.corpus, &prepared.graph, &pool);
-        let outcome = Resolver::new(config.clone()).resolve_seeded(&prepared.graph, &seed);
         ResolvedRun { prepared, outcome }
     }
 
@@ -255,10 +169,34 @@ pub mod pipeline {
 
 #[cfg(test)]
 mod tests {
-    use super::pipeline;
-    use er_core::FusionConfig;
+    use super::pipeline::{self, Prepared};
+    use er_core::{FusionConfig, FusionOutcome, Resolver};
     use er_datasets::generators::restaurant;
-    use er_datasets::RestaurantConfig;
+    use er_datasets::{Dataset, RestaurantConfig};
+    use er_pool::WorkerPool;
+    use er_text::BlockingStrategy;
+
+    fn prepare(d: &Dataset, strategy: &BlockingStrategy, pool: &WorkerPool) -> Prepared {
+        pipeline::prepare_with_strategy(d, pipeline::DEFAULT_MAX_DF_FRACTION, strategy, pool)
+    }
+
+    /// The seeded batch resolve: prepare → seed similarities → fusion,
+    /// all on one pool.
+    fn resolve_seeded(
+        d: &Dataset,
+        config: &FusionConfig,
+        strategy: &BlockingStrategy,
+    ) -> (Prepared, FusionOutcome) {
+        let pool = WorkerPool::with_policy(config.threads, config.dispatch);
+        let p = prepare(d, strategy, &pool);
+        let seed = pipeline::seed_similarities(&p.corpus, &p.graph, &pool);
+        let outcome = Resolver::new(config.clone()).resolve_seeded(&p.graph, &seed);
+        (p, outcome)
+    }
+
+    fn f1(p: &Prepared, outcome: &FusionOutcome) -> f64 {
+        er_eval::evaluate_pairs(outcome.matches.iter().copied(), &p.truth).f1()
+    }
 
     #[test]
     fn prepare_builds_consistent_structures() {
@@ -267,7 +205,7 @@ mod tests {
             duplicate_pairs: 8,
             seed: 11,
         });
-        let p = pipeline::prepare(&d);
+        let p = prepare(&d, &BlockingStrategy::TokenGraph, &WorkerPool::new(1));
         assert_eq!(p.corpus.len(), 60);
         assert_eq!(p.graph.record_count(), 60);
         assert_eq!(p.truth.total(), 8);
@@ -279,14 +217,21 @@ mod tests {
         let d = er_datasets::generators::product::generate(
             &er_datasets::ProductConfig::default().scaled(0.05),
         );
-        let p = pipeline::prepare(&d);
-        for pair in p.graph.pairs() {
-            assert!(
-                d.is_candidate(pair.a, pair.b),
-                "pair ({}, {}) violates the cross-source policy",
-                pair.a,
-                pair.b
-            );
+        let pool = WorkerPool::new(1);
+        for strategy in [
+            BlockingStrategy::TokenGraph,
+            BlockingStrategy::meta_default(),
+        ] {
+            let p = prepare(&d, &strategy, &pool);
+            assert!(p.graph.pair_count() > 0);
+            for pair in p.graph.pairs() {
+                assert!(
+                    d.is_candidate(pair.a, pair.b),
+                    "pair ({}, {}) violates the cross-source policy",
+                    pair.a,
+                    pair.b
+                );
+            }
         }
     }
 
@@ -312,8 +257,8 @@ mod tests {
             duplicate_pairs: 8,
             seed: 5,
         });
-        let p = pipeline::prepare(&d);
-        let pool = er_pool::WorkerPool::new(1);
+        let pool = WorkerPool::new(1);
+        let p = prepare(&d, &BlockingStrategy::TokenGraph, &pool);
         let seed = pipeline::seed_similarities(&p.corpus, &p.graph, &pool);
         assert_eq!(seed.len(), p.graph.pair_count());
         assert!(seed.iter().all(|s| (0.0..=1.0).contains(s)), "{seed:?}");
@@ -333,9 +278,9 @@ mod tests {
         let mut cfg = FusionConfig::default();
         cfg.cliquerank.threads = 1;
         cfg.rounds = 2;
-        let run = pipeline::resolve_dataset_seeded(&d, &cfg);
-        let counts = run.evaluate();
-        assert!(counts.f1() > 0.7, "{counts:?}");
+        let (p, outcome) = resolve_seeded(&d, &cfg, &BlockingStrategy::TokenGraph);
+        let f1 = f1(&p, &outcome);
+        assert!(f1 > 0.7, "{f1}");
     }
 
     #[test]
@@ -345,14 +290,8 @@ mod tests {
             duplicate_pairs: 8,
             seed: 11,
         });
-        let pool = er_pool::WorkerPool::new(1);
-        let a = pipeline::prepare(&d);
-        let b = pipeline::prepare_with_strategy(
-            &d,
-            pipeline::DEFAULT_MAX_DF_FRACTION,
-            &er_text::BlockingStrategy::TokenGraph,
-            &pool,
-        );
+        let a = pipeline::prepare_with(&d, pipeline::DEFAULT_MAX_DF_FRACTION);
+        let b = prepare(&d, &BlockingStrategy::TokenGraph, &WorkerPool::new(2));
         assert_eq!(a.graph.pairs(), b.graph.pairs());
     }
 
@@ -363,14 +302,9 @@ mod tests {
             duplicate_pairs: 10,
             seed: 3,
         });
-        let pool = er_pool::WorkerPool::new(1);
-        let full = pipeline::prepare(&d);
-        let meta = pipeline::prepare_with_strategy(
-            &d,
-            pipeline::DEFAULT_MAX_DF_FRACTION,
-            &er_text::BlockingStrategy::meta_default(),
-            &pool,
-        );
+        let pool = WorkerPool::new(1);
+        let full = prepare(&d, &BlockingStrategy::TokenGraph, &pool);
+        let meta = prepare(&d, &BlockingStrategy::meta_default(), &pool);
         assert!(meta.graph.pair_count() <= full.graph.pair_count());
         // Every surviving pair must be in the token-graph universe.
         let universe: std::collections::BTreeSet<(u32, u32)> =
@@ -381,13 +315,9 @@ mod tests {
         let mut cfg = FusionConfig::default();
         cfg.cliquerank.threads = 1;
         cfg.rounds = 2;
-        let run = pipeline::resolve_dataset_seeded_with(
-            &d,
-            &cfg,
-            &er_text::BlockingStrategy::meta_default(),
-        );
-        let counts = run.evaluate();
-        assert!(counts.f1() > 0.7, "{counts:?}");
+        let (p, outcome) = resolve_seeded(&d, &cfg, &BlockingStrategy::meta_default());
+        let f1 = f1(&p, &outcome);
+        assert!(f1 > 0.7, "{f1}");
     }
 
     #[test]
@@ -404,8 +334,8 @@ mod tests {
                 rounds: 2,
                 ..Default::default()
             };
-            let run = pipeline::resolve_dataset_seeded(&d, &cfg);
-            matches.push(run.outcome.matches.clone());
+            let (_, outcome) = resolve_seeded(&d, &cfg, &BlockingStrategy::TokenGraph);
+            matches.push(outcome.matches);
         }
         assert_eq!(matches[0], matches[1]);
     }
