@@ -139,27 +139,24 @@ pub fn candidate_pairs(
     candidate_graph(corpus, None, pair_filter).pairs().to_vec()
 }
 
-/// [`candidate_pairs`] under an explicit [`BlockingStrategy`]: the
-/// strategy generates the pair universe (token graph, capped token
-/// blocking, sorted-neighborhood, LSH or meta-blocking) and the
-/// optional policy filter restricts it. With
-/// [`BlockingStrategy::TokenGraph`] this is exactly
-/// [`candidate_pairs`].
+/// [`candidate_pairs`] under an explicit [`BlockingStrategy`]: the pairs
+/// of the bipartite graph the fusion framework resolves under the same
+/// strategy and policy — the strategy's candidate list, restricted to
+/// the optional policy and to pairs sharing a post-filter term
+/// ([`candidate_graph`] drops the rest, e.g. sorted-neighborhood window
+/// neighbours with nothing in common). Baselines and framework thus
+/// score one pair universe under every strategy; with
+/// [`BlockingStrategy::TokenGraph`] it is exactly [`candidate_pairs`].
 pub fn candidate_pairs_with(
     corpus: &Corpus,
     strategy: &BlockingStrategy,
     pair_filter: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
     pool: &WorkerPool,
 ) -> Vec<PairNode> {
-    if matches!(strategy, BlockingStrategy::TokenGraph) {
-        return candidate_pairs(corpus, pair_filter);
-    }
-    strategy
-        .candidate_pairs(corpus, pool)
-        .into_iter()
-        .filter(|&(a, b)| pair_filter.is_none_or(|f| f(a, b)))
-        .map(|(a, b)| PairNode::new(a, b))
-        .collect()
+    let allowed = strategy.candidate_pairs(corpus, pool);
+    candidate_graph(corpus, Some(&allowed), pair_filter)
+        .pairs()
+        .to_vec()
 }
 
 /// Runs a scorer and sweeps the optimal threshold (1 000 quanta, the
@@ -214,6 +211,35 @@ mod tests {
         let pairs = candidate_pairs(&corpus, None);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0], PairNode::new(0, 1));
+    }
+
+    #[test]
+    fn strategy_pairs_are_the_graph_pairs() {
+        let corpus = CorpusBuilder::new()
+            .extend_texts([
+                "alpha beta",
+                "alpha gamma",
+                "delta",
+                "epsilon",
+                "delta zeta",
+            ])
+            .build();
+        let pool = WorkerPool::new(1);
+        let sn = BlockingStrategy::SortedNeighborhood { window: 3 };
+        let listed = sn.candidate_pairs(&corpus, &pool);
+        let pairs = candidate_pairs_with(&corpus, &sn, None, &pool);
+        // Window neighbours sharing no term are not pair nodes.
+        assert_eq!(pairs, [PairNode::new(0, 1), PairNode::new(2, 4)]);
+        assert!(pairs.len() < listed.len(), "{listed:?}");
+        assert_eq!(
+            candidate_pairs_with(&corpus, &BlockingStrategy::TokenGraph, None, &pool),
+            candidate_pairs(&corpus, None)
+        );
+        let odd_even = |a: u32, b: u32| a % 2 != b % 2;
+        assert_eq!(
+            candidate_pairs_with(&corpus, &sn, Some(&odd_even), &pool),
+            [PairNode::new(0, 1)]
+        );
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn main() {
             }
             file.runs.push(BenchRun {
                 label: "blocking".to_owned(),
-                dataset: format!("n{base}"),
+                dataset: format!("n{n}"),
                 mode: mode.to_owned(),
                 threads: threads as u64,
                 scaling_ratio: None,

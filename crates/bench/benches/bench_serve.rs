@@ -187,7 +187,7 @@ fn main() {
         );
         file.runs.push(BenchRun {
             label: "serve".to_owned(),
-            dataset: format!("n{base}"),
+            dataset: format!("n{n}"),
             mode: "meta".to_owned(),
             threads: threads as u64,
             scaling_ratio: None,

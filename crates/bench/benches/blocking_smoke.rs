@@ -13,30 +13,39 @@
 //! 2. **Recall floor** — pair completeness ≥ 0.95 at both sizes: the
 //!    pruning pipeline must not buy its reduction ratio with missed
 //!    duplicates.
+//! 3. **Graph build per candidate** — the median of 5
+//!    `candidate_graph` builds over the meta list costs ≤ 5 µs per
+//!    candidate pair at both sizes. Building from the list costs
+//!    O(Σ_candidates |terms|); a build that falls back to enumerating
+//!    every posting pair (O(Σ_t df_t²)) costs tens of µs per candidate
+//!    here. A growth ratio cannot gate this: both costs grow 4–5× from
+//!    20 k to 60 k records.
 //!
 //! Sizes are fixed (no `ER_SCALE`) so the gate is comparable across CI
 //! runs. Exits non-zero on failure, like the other `*_smoke` targets.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use er_bench::{bench_threads, fmt_duration};
 use er_datasets::generators::census;
 use er_datasets::CensusConfig;
 use er_pool::WorkerPool;
-use er_text::blocking::{reduction_ratio, BlockingStrategy};
+use er_text::blocking::{candidate_graph, reduction_ratio, BlockingStrategy};
 use er_text::CorpusBuilder;
 use unsupervised_er::pipeline::DEFAULT_MAX_DF_FRACTION;
 
 const SIZES: [usize; 2] = [20_000, 60_000];
 const MAX_GROWTH: f64 = 2.0;
 const MIN_COMPLETENESS: f64 = 0.95;
+const BUILD_RUNS: usize = 5;
+const MAX_BUILD_US_PER_CANDIDATE: f64 = 5.0;
 
 fn main() {
     let pool = WorkerPool::new(bench_threads());
     let strategy = BlockingStrategy::meta_default();
-    println!("blocking_smoke — meta-blocking scaling + recall gate");
+    println!("blocking_smoke — meta-blocking scaling, recall + graph-build gate");
 
-    let mut curve: Vec<(usize, f64, f64)> = Vec::new();
+    let mut curve: Vec<(usize, f64, f64, f64)> = Vec::new();
     for n in SIZES {
         let dataset = census::generate(&CensusConfig {
             records: n,
@@ -59,13 +68,26 @@ fn main() {
             .count();
         let pc = found as f64 / truth.len() as f64;
         let cpr = pairs.len() as f64 / n as f64;
+        let mut builds: Vec<Duration> = (0..BUILD_RUNS)
+            .map(|_| {
+                let t = Instant::now();
+                let graph = candidate_graph(&corpus, Some(&pairs), None);
+                let elapsed = t.elapsed();
+                std::hint::black_box(graph);
+                elapsed
+            })
+            .collect();
+        builds.sort_unstable();
+        let build = builds[BUILD_RUNS / 2];
+        let build_us = build.as_secs_f64() * 1e6 / pairs.len().max(1) as f64;
         println!(
-            "  n={n:<6} candidates={:<9} cand/rec={cpr:<7.2} red.ratio={:<9.6} pair-compl={pc:.4} ({})",
+            "  n={n:<6} candidates={:<9} cand/rec={cpr:<7.2} red.ratio={:<9.6} pair-compl={pc:.4} ({}) graph={} ({build_us:.3} µs/cand)",
             pairs.len(),
             reduction_ratio(n, pairs.len()),
-            fmt_duration(elapsed)
+            fmt_duration(elapsed),
+            fmt_duration(build)
         );
-        curve.push((n, cpr, pc));
+        curve.push((n, cpr, pc, build_us));
     }
 
     let growth = curve[1].1 / curve[0].1;
@@ -82,10 +104,16 @@ fn main() {
         );
         failed = true;
     }
-    for &(n, _, pc) in &curve {
+    for &(n, _, pc, build_us) in &curve {
         if pc < MIN_COMPLETENESS {
             eprintln!(
                 "FAIL: pair completeness {pc:.4} at n={n} is below the {MIN_COMPLETENESS} floor — pruning is dropping duplicates"
+            );
+            failed = true;
+        }
+        if build_us > MAX_BUILD_US_PER_CANDIDATE {
+            eprintln!(
+                "FAIL: the candidate graph build costs {build_us:.3} µs per candidate at n={n} (max {MAX_BUILD_US_PER_CANDIDATE}) — it is not built from the candidate list"
             );
             failed = true;
         }

@@ -6,12 +6,20 @@
 //! sharing no term are excluded entirely (the paper treats them as
 //! non-matching by construction).
 //!
-//! The builder consumes postings lists (term → sorted records) — exactly
-//! what `er_text::Corpus` produces — and enumerates, per term, all record
-//! pairs in its postings that the candidate policy accepts (e.g. only
-//! cross-source pairs for the two-source Product dataset).
+//! Two constructions produce the same dual-CSR form:
 //!
-//! Construction is sort-based rather than hash-based: terms enumerate
+//! * [`BipartiteGraphBuilder`] consumes postings lists (term → sorted
+//!   records) — exactly what `er_text::Corpus` produces — and
+//!   enumerates, per term, all record pairs in its postings that the
+//!   candidate policy accepts (e.g. only cross-source pairs for the
+//!   two-source Product dataset). Cost O(Σ_t N_t²).
+//! * [`BipartiteGraph::from_pair_side`] takes the pair side ready-made
+//!   (each pair's sorted term row, e.g. the intersection of its two
+//!   records' term sets) and derives the term side with one counting
+//!   sort. Cost O(edges + terms) — the path for an explicit candidate
+//!   list.
+//!
+//! The builder is sort-based rather than hash-based: terms enumerate
 //! `(term, pair)` edges independently (parallelizable over term chunks on
 //! a shared [`er_pool::WorkerPool`]), pair ids come from a sort + dedup of
 //! the pair keys, and both CSR sides fill in one term-major pass. The
@@ -115,10 +123,57 @@ impl BipartiteGraph {
         self.pairs.binary_search(&key).ok().map(|i| i as u32)
     }
 
+    /// Builds a graph from its pair side: `pairs` (the pair universe)
+    /// and, for pair id `p`, its term row
+    /// `pair_terms[pair_offsets[p]..pair_offsets[p + 1]]`.
+    ///
+    /// The caller guarantees what [`Self::validate`] checks of the pair
+    /// side: `pairs` strictly ascending with `a < b < n_records`, every
+    /// row non-empty, strictly ascending and below `n_terms`. The term →
+    /// pair side and `P_t` come from one counting sort over the rows;
+    /// pairs are visited in id order, so every term row comes out
+    /// ascending. The result equals what [`BipartiteGraphBuilder`] builds
+    /// from postings whose `(term, pair)` edges are exactly these rows.
+    pub fn from_pair_side(
+        n_records: usize,
+        n_terms: usize,
+        pairs: Vec<PairNode>,
+        pair_offsets: Vec<usize>,
+        pair_terms: Vec<u32>,
+    ) -> Self {
+        debug_assert_eq!(pair_offsets.len(), pairs.len() + 1);
+        let mut term_deg = vec![0usize; n_terms];
+        for &t in &pair_terms {
+            term_deg[t as usize] += 1;
+        }
+        let term_offsets = offsets_from_degrees(&term_deg);
+        let mut term_pairs = vec![0u32; pair_terms.len()];
+        let mut cursor = term_offsets.clone();
+        for (p, row) in pair_offsets.windows(2).enumerate() {
+            for &t in &pair_terms[row[0]..row[1]] {
+                term_pairs[cursor[t as usize]] = p as u32;
+                cursor[t as usize] += 1;
+            }
+        }
+        let graph = Self {
+            n_records,
+            n_terms,
+            pairs,
+            pair_offsets,
+            pair_terms,
+            term_offsets,
+            term_pairs,
+            pt: term_deg.iter().map(|&d| d as u32).collect(),
+        };
+        debug_validate("BipartiteGraph::from_pair_side", || graph.validate());
+        graph
+    }
+
     /// Checks every structural invariant of the dual-CSR form:
     ///
     /// * `pairs` is strictly ascending with `a < b < n_records` — the
     ///   canonical binary-searchable pair universe;
+    /// * every pair shares at least one term (non-empty pair row);
     /// * both offset arrays are monotone from 0 and consistent with one
     ///   shared edge count (each term–pair edge appears once per side);
     /// * adjacency rows are strictly ascending and in bounds on both
@@ -175,6 +230,9 @@ impl BipartiteGraph {
         }
         for p in 0..self.pairs.len() {
             let row = &self.pair_terms[self.pair_offsets[p]..self.pair_offsets[p + 1]];
+            if row.is_empty() {
+                return err(format!("pair {p} shares no term"));
+            }
             if !row.windows(2).all(|w| w[0] < w[1]) {
                 return err(format!("terms of pair {p} not strictly ascending"));
             }
@@ -385,18 +443,8 @@ impl<'a> BipartiteGraphBuilder<'a> {
             term_deg[t as usize] += 1;
             pair_deg[p as usize] += 1;
         }
-        let prefix = |deg: &[usize]| {
-            let mut off = Vec::with_capacity(deg.len() + 1);
-            let mut total = 0usize;
-            off.push(0usize);
-            for &d in deg {
-                total += d;
-                off.push(total);
-            }
-            off
-        };
-        let term_offsets = prefix(&term_deg);
-        let pair_offsets = prefix(&pair_deg);
+        let term_offsets = offsets_from_degrees(&term_deg);
+        let pair_offsets = offsets_from_degrees(&pair_deg);
         let mut term_pairs = vec![0u32; edges.len()];
         let mut pair_terms = vec![0u32; edges.len()];
         let mut tcur = term_offsets.clone();
@@ -421,6 +469,19 @@ impl<'a> BipartiteGraphBuilder<'a> {
         debug_validate("BipartiteGraphBuilder::build", || graph.validate());
         graph
     }
+}
+
+/// CSR row offsets (exclusive prefix sums, `deg.len() + 1` entries) of
+/// per-row degrees.
+fn offsets_from_degrees(deg: &[usize]) -> Vec<usize> {
+    let mut off = Vec::with_capacity(deg.len() + 1);
+    let mut total = 0usize;
+    off.push(0usize);
+    for &d in deg {
+        total += d;
+        off.push(total);
+    }
+    off
 }
 
 #[cfg(test)]
@@ -563,6 +624,35 @@ mod tests {
                 assert_eq!(serial.terms_of_pair(p), pooled.terms_of_pair(p));
             }
         }
+    }
+
+    #[test]
+    fn pair_side_construction_matches_builder() {
+        let built = sample();
+        let rows: Vec<u32> = (0..built.pair_count() as u32)
+            .flat_map(|p| built.terms_of_pair(p).to_vec())
+            .collect();
+        let g = BipartiteGraph::from_pair_side(
+            4,
+            5,
+            built.pairs().to_vec(),
+            built.pair_offsets.clone(),
+            rows,
+        );
+        assert_eq!(g.pairs(), built.pairs());
+        assert_eq!(g.term_offsets, built.term_offsets);
+        assert_eq!(g.term_pairs, built.term_pairs);
+        assert_eq!(g.pt, built.pt);
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_pair_sharing_no_term() {
+        let mut g = sample();
+        // Pair 0's row becomes empty; pair 1's absorbs its terms.
+        g.pair_offsets[1] = 0;
+        let e = g.validate().unwrap_err();
+        assert!(e.detail.contains("shares no term"), "{e}");
     }
 
     #[test]

@@ -13,12 +13,22 @@
 //! All strategies produce sorted `(a, b)` candidate pairs, and
 //! [`candidate_graph`] turns a corpus plus such a list into the term ↔
 //! pair bipartite graph every resolver consumes — the one place the
-//! batch pipeline, the serving engine and the baselines build it.
+//! batch pipeline, the serving engine and the baselines build it. It
+//! has two construction paths with one result:
+//!
+//! * **from the candidate list** (every strategy but
+//!   [`BlockingStrategy::TokenGraph`]): each listed pair's term row is
+//!   the merge-intersection of its two records' term sets, so the cost
+//!   is O(Σ_candidates |terms|) — linear in the list blocking kept;
+//! * **from the postings** (no list): every co-occurring pair of every
+//!   posting list, O(Σ_t df_t²). The token graph keeps this path
+//!   because co-occurrence is what defines its pair universe; there is
+//!   no list to walk until the enumeration has made one.
 
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use er_graph::{BipartiteGraph, BipartiteGraphBuilder, PairNode};
 use er_pool::WorkerPool;
 
-use crate::corpus::Corpus;
+use crate::corpus::{for_each_shared, Corpus};
 use crate::lsh::{lsh_blocking, lsh_blocking_cached, LshParams, SignatureCache};
 use crate::metablocking::{meta_block, BlockCollection, MetaConfig};
 use crate::simeng::{BatchScorer, SimKernel};
@@ -165,26 +175,77 @@ impl BlockingStrategy {
 }
 
 /// Builds the term ↔ pair bipartite graph of `corpus`: every record
-/// pair sharing a post-filter term, restricted to `allowed` (a sorted
-/// `(a, b)` candidate list with `a < b`, as [`BlockingStrategy`]
-/// produces; `None` admits every co-occurring pair) and to `policy`
-/// (e.g. cross-source only; `None` admits every pair).
+/// pair sharing a post-filter term, restricted to `allowed` (a candidate
+/// list as [`BlockingStrategy`] produces; `None` admits every
+/// co-occurring pair) and to `policy` (e.g. cross-source only; `None`
+/// admits every pair). Term `t` links pair `{a, b}` iff `t` is in both
+/// records' term sets.
+///
+/// With a list the graph is built from it: the list is walked once,
+/// `policy` filters it, each surviving pair's term row is the
+/// merge-intersection of `corpus.term_set(a)` and `corpus.term_set(b)`,
+/// and pairs sharing no term are dropped — O(Σ_candidates |terms|).
+/// Without a list every co-occurring pair of every posting list is
+/// enumerated, O(Σ_t df_t²). Both paths give the same graph for the
+/// same pair universe, bit for bit.
+///
+/// Precondition on `allowed`: sorted ascending, deduplicated, and every
+/// pair `(a, b)` has `a < b < corpus.len()` (checked in debug builds).
 pub fn candidate_graph(
     corpus: &Corpus,
     allowed: Option<&[(u32, u32)]>,
     policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
 ) -> BipartiteGraph {
-    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-    for t in 0..corpus.vocab_len() as u32 {
-        builder = builder.postings(t, corpus.postings(TermId(t)));
+    let _span = er_obs::span("graph.build");
+    match allowed {
+        Some(list) => graph_from_list(corpus, list, policy),
+        None => {
+            let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
+            for t in 0..corpus.vocab_len() as u32 {
+                builder = builder.postings(t, corpus.postings(TermId(t)));
+            }
+            if let Some(f) = policy {
+                builder = builder.pair_filter(f);
+            }
+            builder.build()
+        }
     }
-    if allowed.is_some() || policy.is_some() {
-        builder = builder.pair_filter(move |a, b| {
-            policy.is_none_or(|f| f(a, b))
-                && allowed.is_none_or(|l| l.binary_search(&(a.min(b), a.max(b))).is_ok())
-        });
+}
+
+/// [`candidate_graph`]'s list path: one pass over `list`, emitting each
+/// kept pair's shared terms as its row of the pair → term CSR.
+fn graph_from_list(
+    corpus: &Corpus,
+    list: &[(u32, u32)],
+    policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
+) -> BipartiteGraph {
+    debug_assert!(
+        list.windows(2).all(|w| w[0] < w[1])
+            && list
+                .iter()
+                .all(|&(a, b)| a < b && (b as usize) < corpus.len()),
+        "candidate list must be sorted, deduplicated, with a < b < n"
+    );
+    let mut pairs: Vec<PairNode> = Vec::with_capacity(list.len());
+    let mut offsets: Vec<usize> = Vec::with_capacity(list.len() + 1);
+    let mut terms: Vec<u32> = Vec::new();
+    offsets.push(0);
+    for &(a, b) in list {
+        if policy.is_some_and(|f| !f(a, b)) {
+            continue;
+        }
+        let start = terms.len();
+        for_each_shared(
+            corpus.term_set(a as usize),
+            corpus.term_set(b as usize),
+            |t| terms.push(t.0),
+        );
+        if terms.len() > start {
+            pairs.push(PairNode { a, b });
+            offsets.push(terms.len());
+        }
     }
-    builder.build()
+    BipartiteGraph::from_pair_side(corpus.len(), corpus.vocab_len(), pairs, offsets, terms)
 }
 
 /// Token blocking: candidates are all pairs co-occurring in at least one

@@ -115,39 +115,35 @@ impl Corpus {
     }
 }
 
-/// Intersection of two sorted, deduplicated slices.
-pub fn intersect_sorted(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
-    let mut out = Vec::new();
+/// Calls `f` on every element of the intersection of two sorted,
+/// deduplicated slices, in ascending order — one merge pass,
+/// O(|a| + |b|).
+pub(crate) fn for_each_shared(a: &[TermId], b: &[TermId], mut f: impl FnMut(TermId)) {
     let (mut ia, mut ib) = (0, 0);
     while ia < a.len() && ib < b.len() {
         match a[ia].cmp(&b[ib]) {
             std::cmp::Ordering::Less => ia += 1,
             std::cmp::Ordering::Greater => ib += 1,
             std::cmp::Ordering::Equal => {
-                out.push(a[ia]);
+                f(a[ia]);
                 ia += 1;
                 ib += 1;
             }
         }
     }
+}
+
+/// Intersection of two sorted, deduplicated slices.
+pub fn intersect_sorted(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
+    let mut out = Vec::new();
+    for_each_shared(a, b, |t| out.push(t));
     out
 }
 
 /// Size of the intersection of two sorted, deduplicated slices.
 pub fn count_intersect_sorted(a: &[TermId], b: &[TermId]) -> usize {
     let mut n = 0;
-    let (mut ia, mut ib) = (0, 0);
-    while ia < a.len() && ib < b.len() {
-        match a[ia].cmp(&b[ib]) {
-            std::cmp::Ordering::Less => ia += 1,
-            std::cmp::Ordering::Greater => ib += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                ia += 1;
-                ib += 1;
-            }
-        }
-    }
+    for_each_shared(a, b, |_| n += 1);
     n
 }
 

@@ -284,6 +284,20 @@ mod tests {
     }
 
     #[test]
+    fn baseline_pairs_equal_the_pipeline_graph_pairs() {
+        let d = er_datasets::generators::product::generate(
+            &er_datasets::ProductConfig::default().scaled(0.05),
+        );
+        let pool = WorkerPool::new(1);
+        let strategy = BlockingStrategy::SortedNeighborhood { window: 4 };
+        let p = prepare(&d, &strategy, &pool);
+        let cross = |a: u32, b: u32| d.is_candidate(a, b);
+        let pairs = er_baselines::candidate_pairs_with(&p.corpus, &strategy, Some(&cross), &pool);
+        assert!(!pairs.is_empty());
+        assert_eq!(pairs, p.graph.pairs());
+    }
+
+    #[test]
     fn token_graph_strategy_matches_default_prepare() {
         let d = restaurant::generate(&RestaurantConfig {
             records: 60,
