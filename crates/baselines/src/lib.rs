@@ -29,7 +29,7 @@ pub mod twidf;
 use er_eval::{sweep_threshold_iter, SweepResult, TruthPairs};
 use er_graph::bipartite::PairNode;
 use er_pool::WorkerPool;
-use er_text::{candidate_graph, BlockingStrategy, Corpus};
+use er_text::{candidate_graph, token_blocking, BlockingStrategy, Corpus};
 
 pub use hybrid::HybridScorer;
 pub use jaccard::JaccardScorer;
@@ -136,7 +136,8 @@ pub fn candidate_pairs(
     corpus: &Corpus,
     pair_filter: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
 ) -> Vec<PairNode> {
-    candidate_graph(corpus, None, pair_filter).pairs().to_vec()
+    let all = token_blocking(corpus, usize::MAX);
+    candidate_graph(corpus, &all, pair_filter).pairs().to_vec()
 }
 
 /// [`candidate_pairs`] under an explicit [`BlockingStrategy`]: the pairs
@@ -153,10 +154,8 @@ pub fn candidate_pairs_with(
     pair_filter: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
     pool: &WorkerPool,
 ) -> Vec<PairNode> {
-    let allowed = strategy.candidate_pairs(corpus, pool);
-    candidate_graph(corpus, Some(&allowed), pair_filter)
-        .pairs()
-        .to_vec()
+    let list = strategy.candidate_pairs(corpus, pool);
+    candidate_graph(corpus, &list, pair_filter).pairs().to_vec()
 }
 
 /// Runs a scorer and sweeps the optimal threshold (1 000 quanta, the
@@ -231,10 +230,6 @@ mod tests {
         // Window neighbours sharing no term are not pair nodes.
         assert_eq!(pairs, [PairNode::new(0, 1), PairNode::new(2, 4)]);
         assert!(pairs.len() < listed.len(), "{listed:?}");
-        assert_eq!(
-            candidate_pairs_with(&corpus, &BlockingStrategy::TokenGraph, None, &pool),
-            candidate_pairs(&corpus, None)
-        );
         let odd_even = |a: u32, b: u32| a % 2 != b % 2;
         assert_eq!(
             candidate_pairs_with(&corpus, &sn, Some(&odd_even), &pool),

@@ -14,7 +14,7 @@ use er_core::{
     run_rss_subset_pooled, CliqueRankConfig, IterConfig, RssConfig,
 };
 use er_graph::bipartite::PairNode;
-use er_graph::{BipartiteGraphBuilder, RecordGraph};
+use er_graph::{BipartiteGraph, RecordGraph};
 use er_matrix::{
     matmul_blocked, matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix,
     PackScratch,
@@ -164,11 +164,7 @@ fn bench_iter(c: &mut Criterion) {
         posting.dedup();
         postings.push(posting);
     }
-    let mut builder = BipartiteGraphBuilder::new(200, 400);
-    for (t, p) in postings.iter().enumerate() {
-        builder = builder.postings(t as u32, p);
-    }
-    let graph = builder.build();
+    let graph = BipartiteGraph::from_postings(200, &postings);
     let prob = vec![1.0; graph.pair_count()];
     let serial = IterConfig {
         threads: 1,

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use er_bench::fusion_config;
 use er_core::Resolver;
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use er_graph::BipartiteGraph;
 use proptest::prelude::*;
 
 /// The recording flag and registry are process-global; the harness runs
@@ -29,11 +29,7 @@ fn bipartite() -> impl Strategy<Value = BipartiteGraph> {
                 .iter()
                 .map(|s| s.iter().copied().collect())
                 .collect();
-            let mut builder = BipartiteGraphBuilder::new(16, lists.len());
-            for (t, p) in lists.iter().enumerate() {
-                builder = builder.postings(t as u32, p);
-            }
-            builder.build()
+            BipartiteGraph::from_postings(16, &lists)
         },
     )
 }
@@ -84,10 +80,7 @@ fn recording_actually_records() {
     let _guard = REGISTRY_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let graph = BipartiteGraphBuilder::new(4, 2)
-        .postings(0, &[0, 1, 2])
-        .postings(1, &[1, 2, 3])
-        .build();
+    let graph = BipartiteGraph::from_postings(4, &[[0, 1, 2], [1, 2, 3]]);
     er_obs::set_recording(true);
     er_obs::reset();
     let _ = Resolver::new(fusion_config()).resolve(&graph);

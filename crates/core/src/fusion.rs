@@ -70,12 +70,9 @@ pub struct FusionOutcome {
 ///
 /// ```
 /// use er_core::{FusionConfig, Resolver};
-/// use er_graph::BipartiteGraphBuilder;
+/// use er_graph::BipartiteGraph;
 ///
-/// let graph = BipartiteGraphBuilder::new(2, 2)
-///     .postings(0, &[0, 1])
-///     .postings(1, &[0, 1])
-///     .build();
+/// let graph = BipartiteGraph::from_postings(2, &[[0, 1], [0, 1]]);
 /// let outcome = Resolver::new(FusionConfig::default()).resolve(&graph);
 /// assert_eq!(outcome.matches, vec![(0, 1)]);
 /// ```
@@ -303,20 +300,22 @@ pub fn decide_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_graph::BipartiteGraphBuilder;
 
     /// Six records, two true entities {0,1,2} and {3,4}, plus noise
     /// record 5. Terms 0–2 are discriminative for entity A, terms 3–4 for
     /// entity B; term 5 is a common word shared across entities.
     fn two_entity_graph() -> BipartiteGraph {
-        BipartiteGraphBuilder::new(6, 6)
-            .postings(0, &[0, 1, 2]) // entity A model code
-            .postings(1, &[0, 1, 2]) // entity A street number
-            .postings(2, &[0, 2]) // entity A extra token
-            .postings(3, &[3, 4]) // entity B phone
-            .postings(4, &[3, 4]) // entity B name
-            .postings(5, &[0, 1, 3, 5]) // common word
-            .build()
+        BipartiteGraph::from_postings(
+            6,
+            &[
+                &[0, 1, 2][..], // entity A model code
+                &[0, 1, 2],     // entity A street number
+                &[0, 2],        // entity A extra token
+                &[3, 4],        // entity B phone
+                &[3, 4],        // entity B name
+                &[0, 1, 3, 5],  // common word
+            ],
+        )
     }
 
     fn quick_config() -> FusionConfig {
@@ -403,7 +402,7 @@ mod tests {
 
     #[test]
     fn empty_graph_resolves_to_nothing() {
-        let g = BipartiteGraphBuilder::new(3, 1).build();
+        let g = BipartiteGraph::from_postings(3, &[[0u32; 0]]);
         let out = Resolver::new(quick_config()).resolve(&g);
         assert!(out.matches.is_empty());
         assert_eq!(out.clusters.len(), 3);

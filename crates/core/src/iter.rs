@@ -331,16 +331,12 @@ fn update_terms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_graph::BipartiteGraphBuilder;
 
     /// Term 0 ("model code"): appears only in the matching pair (0, 1).
     /// Term 1 ("common word"): appears in records 0..4, so in 6 pairs
     /// among {0,1,2,3}, most of which do not match.
     fn discriminative_vs_common() -> BipartiteGraph {
-        BipartiteGraphBuilder::new(4, 2)
-            .postings(0, &[0, 1])
-            .postings(1, &[0, 1, 2, 3])
-            .build()
+        BipartiteGraph::from_postings(4, &[&[0, 1][..], &[0, 1, 2, 3]])
     }
 
     fn uniform_prob(graph: &BipartiteGraph) -> Vec<f64> {
@@ -452,7 +448,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = BipartiteGraphBuilder::new(0, 0).build();
+        let g = BipartiteGraph::from_postings::<[u32; 0]>(0, &[]);
         let out = run_iter(&g, &[], &IterConfig::default());
         assert!(out.term_weights.is_empty());
         assert!(out.pair_similarities.is_empty());
@@ -475,11 +471,7 @@ mod tests {
                 [a.min(b), a.max(b)]
             })
             .collect();
-        let mut builder = BipartiteGraphBuilder::new(n_records as usize, n_terms);
-        for (t, post) in posting_store.iter().enumerate() {
-            builder = builder.postings(t as u32, post);
-        }
-        let g = builder.build();
+        let g = BipartiteGraph::from_postings(n_records as usize, &posting_store);
         let prob = uniform_prob(&g);
         let serial = run_iter(
             &g,

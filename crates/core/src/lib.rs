@@ -24,14 +24,10 @@
 //!
 //! ```
 //! use er_core::{FusionConfig, Resolver};
-//! use er_graph::BipartiteGraphBuilder;
+//! use er_graph::BipartiteGraph;
 //!
 //! // Records 0 and 1 share two discriminative terms; record 2 is noise.
-//! let graph = BipartiteGraphBuilder::new(3, 3)
-//!     .postings(0, &[0, 1])
-//!     .postings(1, &[0, 1])
-//!     .postings(2, &[1, 2])
-//!     .build();
+//! let graph = BipartiteGraph::from_postings(3, &[[0, 1], [0, 1], [1, 2]]);
 //! let outcome = Resolver::new(FusionConfig::default()).resolve(&graph);
 //! assert!(outcome.matches.contains(&(0, 1)));
 //! ```

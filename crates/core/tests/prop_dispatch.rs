@@ -14,7 +14,7 @@ use er_core::{
     Kernel,
 };
 use er_graph::bipartite::PairNode;
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
+use er_graph::{BipartiteGraph, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
 use proptest::prelude::*;
 
@@ -28,11 +28,7 @@ fn bipartite() -> impl Strategy<Value = BipartiteGraph> {
                 .iter()
                 .map(|s| s.iter().copied().collect())
                 .collect();
-            let mut builder = BipartiteGraphBuilder::new(12, lists.len());
-            for (t, p) in lists.iter().enumerate() {
-                builder = builder.postings(t as u32, p);
-            }
-            builder.build()
+            BipartiteGraph::from_postings(12, &lists)
         },
     )
 }

@@ -16,10 +16,9 @@
 //! budget cap costs accuracy, which this implementation reproduces when
 //! given fewer questions than candidates above the filter.
 
-use std::collections::HashSet;
-
 use crate::crowder::CrowdOutcome;
 use crate::oracle::NoisyOracle;
+use crate::transitivity::Deductions;
 
 /// GCER configuration.
 #[derive(Debug, Clone, Copy)]
@@ -64,54 +63,31 @@ pub fn gcer_resolve<F: Fn(u32, u32) -> bool>(
             .expect("finite scores")
     });
 
-    let mut parent: Vec<u32> = (0..n_records as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let gp = parent[parent[x as usize] as usize];
-            parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-    let mut non_match: HashSet<(u32, u32)> = HashSet::new();
-    let key = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
-
+    let mut deductions = Deductions::new(n_records);
     let before = oracle.questions_asked();
     let mut matches = Vec::new();
     let mut asked = 0usize;
     let mut undecided = Vec::new();
     for &i in &order {
         let (a, b, _) = scored_pairs[i];
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra == rb {
-            matches.push((a, b)); // deduced positive — free
-            continue;
-        }
-        if non_match.contains(&key(ra, rb)) {
-            continue; // deduced negative — free
+        match deductions.deduce(a, b) {
+            Some(true) => {
+                matches.push((a, b)); // deduced positive — free
+                continue;
+            }
+            Some(false) => continue, // deduced negative — free
+            None => {}
         }
         if asked >= config.budget {
             undecided.push(i);
             continue;
         }
         asked += 1;
-        if oracle.ask(a, b) {
+        let answer = oracle.ask(a, b);
+        if answer {
             matches.push((a, b));
-            parent[rb as usize] = ra;
-            // Rewrite constraints onto the surviving root.
-            let moved: Vec<(u32, u32)> = non_match
-                .iter()
-                .filter(|&&(x, y)| x == rb || y == rb)
-                .copied()
-                .collect();
-            for (x, y) in moved {
-                non_match.remove(&(x, y));
-                let other = if x == rb { y } else { x };
-                non_match.insert(key(ra, other));
-            }
-        } else {
-            non_match.insert(key(ra, rb));
         }
+        deductions.record(a, b, answer);
     }
     // Budget exhausted: fall back to the machine proxy for the rest.
     for i in undecided {

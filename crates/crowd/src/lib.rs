@@ -33,6 +33,7 @@ pub mod crowder;
 pub mod gcer;
 pub mod oracle;
 pub mod power;
+mod transitivity;
 pub mod transm;
 
 pub use acd::{acd_resolve, AcdConfig};

@@ -14,6 +14,8 @@
 //! This captures exactly why the paper reports Power+ matching ACD's
 //! accuracy at a fraction of the cost on Restaurant-like data.
 
+use er_graph::UnionFind;
+
 use crate::crowder::CrowdOutcome;
 use crate::oracle::NoisyOracle;
 
@@ -121,32 +123,21 @@ pub fn power_resolve<F: Fn(u32, u32) -> bool>(
             idx < boundary
         }
     };
-    let mut parent: Vec<u32> = (0..n_records as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let gp = parent[parent[x as usize] as usize];
-            parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
+    let mut components = UnionFind::new(n_records);
     let mut matches = Vec::new();
     let mut negatives = Vec::new();
     for idx in 0..order.len() {
         let (a, b, _) = scored_pairs[order[idx]];
         if verdict_of(idx) {
             matches.push(if a < b { (a, b) } else { (b, a) });
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[rb as usize] = ra;
-            }
+            components.union(a, b);
         } else {
             negatives.push((a, b));
         }
     }
     // Deduce positives among the negatives connected transitively.
     for (a, b) in negatives {
-        if find(&mut parent, a) == find(&mut parent, b) {
+        if components.connected(a, b) {
             matches.push(if a < b { (a, b) } else { (b, a) });
         }
     }

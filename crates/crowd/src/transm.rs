@@ -10,9 +10,8 @@
 //! Deduction is tracked with a union-find over confirmed matches plus a
 //! set of non-match constraints between match-components.
 
-use std::collections::HashSet;
-
 use crate::oracle::NoisyOracle;
+use crate::transitivity::Deductions;
 
 /// TransM configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,19 +36,7 @@ pub fn transm_resolve<F: Fn(u32, u32) -> bool>(
             .expect("finite scores")
     });
 
-    let mut parent: Vec<u32> = (0..n_records as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let gp = parent[parent[x as usize] as usize];
-            parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-    // Non-match constraints between component roots.
-    let mut non_match: HashSet<(u32, u32)> = HashSet::new();
-    let key = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
-
+    let mut deductions = Deductions::new(n_records);
     let before = oracle.questions_asked();
     let mut matches = Vec::new();
     let mut filtered_out = 0usize;
@@ -59,33 +46,12 @@ pub fn transm_resolve<F: Fn(u32, u32) -> bool>(
             filtered_out += 1;
             continue;
         }
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        let answer = if ra == rb {
-            true // positive transitivity
-        } else if non_match.contains(&key(ra, rb)) {
-            false // negative transitivity
-        } else {
-            oracle.ask(a, b)
-        };
+        // Positive or negative transitivity, else the crowd.
+        let answer = deductions.deduce(a, b).unwrap_or_else(|| oracle.ask(a, b));
         if answer {
             matches.push((a, b));
-            if ra != rb {
-                // Merge and rewrite constraints onto the new root.
-                parent[rb as usize] = ra;
-                let moved: Vec<(u32, u32)> = non_match
-                    .iter()
-                    .filter(|&&(x, y)| x == rb || y == rb)
-                    .copied()
-                    .collect();
-                for (x, y) in moved {
-                    non_match.remove(&(x, y));
-                    let other = if x == rb { y } else { x };
-                    non_match.insert(key(ra, other));
-                }
-            }
-        } else if ra != rb {
-            non_match.insert(key(ra, rb));
         }
+        deductions.record(a, b, answer);
     }
     crate::crowder::CrowdOutcome {
         matches,

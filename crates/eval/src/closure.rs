@@ -15,6 +15,8 @@
 
 use std::collections::HashMap;
 
+use er_graph::UnionFind;
+
 use crate::confusion::ConfusionCounts;
 use crate::threshold::ScoredPair;
 
@@ -147,10 +149,9 @@ pub fn sweep_threshold_closure(
 /// histograms (small-to-large merging).
 struct ClosureState<'a> {
     labels: &'a EntityLabels,
-    parent: Vec<u32>,
+    clusters: UnionFind,
     /// Entity histogram per root.
     hist: Vec<HashMap<u32, usize>>,
-    size: Vec<usize>,
     tp: usize,
     predicted: usize,
 }
@@ -167,34 +168,23 @@ impl<'a> ClosureState<'a> {
             .collect();
         Self {
             labels,
-            parent: (0..n as u32).collect(),
+            clusters: UnionFind::new(n),
             hist,
-            size: vec![1; n],
             tp: 0,
             predicted: 0,
         }
     }
 
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
     fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
+        let (ra, rb) = (self.clusters.find(a), self.clusters.find(b));
+        let pairs_added = self.clusters.set_size(ra) as usize * self.clusters.set_size(rb) as usize;
+        if !self.clusters.union(ra, rb) {
             return;
         }
-        // Merge the smaller histogram into the larger.
-        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
+        // Union by size keeps the larger root: merge the smaller
+        // histogram into it.
+        let big = self.clusters.find(ra);
+        let small = if big == ra { rb } else { ra };
         let small_hist = std::mem::take(&mut self.hist[small as usize]);
         let mut tp_delta = 0usize;
         {
@@ -208,11 +198,8 @@ impl<'a> ClosureState<'a> {
                 *big_hist.entry(entity).or_default() += count;
             }
         }
-        let pairs_added = self.size[big as usize] * self.size[small as usize];
         self.tp += tp_delta;
         self.predicted += pairs_added;
-        self.size[big as usize] += self.size[small as usize];
-        self.parent[small as usize] = big;
     }
 
     fn counts(&self) -> ConfusionCounts {

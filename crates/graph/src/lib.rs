@@ -38,7 +38,7 @@ pub mod simrank;
 pub mod union_find;
 
 pub use appendable::AppendableCsr;
-pub use bipartite::{BipartiteGraph, BipartiteGraphBuilder, PairNode};
+pub use bipartite::{BipartiteGraph, PairNode};
 pub use components::{components, ComponentLabels};
 pub use cooccur::cooccurrence_graph;
 pub use csr::CsrGraph;

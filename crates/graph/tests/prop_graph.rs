@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use er_graph::{components, BipartiteGraphBuilder, CsrGraph, PairNode, RecordGraph, UnionFind};
+use er_graph::{components, BipartiteGraph, CsrGraph, PairNode, RecordGraph, UnionFind};
 use proptest::prelude::*;
 
 /// Pulls the CSR arrays back out of a valid graph so the mutation tests
@@ -119,11 +119,7 @@ proptest! {
             .iter()
             .map(|s| s.iter().copied().collect())
             .collect();
-        let mut builder = BipartiteGraphBuilder::new(16, lists.len());
-        for (t, p) in lists.iter().enumerate() {
-            builder = builder.postings(t as u32, p);
-        }
-        let g = builder.build();
+        let g = BipartiteGraph::from_postings(16, &lists);
         // Edge count from both sides must agree.
         let from_terms: usize = (0..g.term_count() as u32)
             .map(|t| g.pairs_of_term(t).len())

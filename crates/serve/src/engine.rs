@@ -167,14 +167,12 @@ impl ServeEngine {
         let snapshot = if corpus.is_empty() {
             Arc::new(Snapshot::empty(epoch))
         } else {
-            // TokenGraph admits every co-occurring pair: no list to build.
-            let allowed = match &self.config.strategy {
-                BlockingStrategy::TokenGraph => None,
-                strategy => {
-                    Some(strategy.candidate_pairs_cached(&corpus, &self.pool, &mut self.signatures))
-                }
-            };
-            let graph = candidate_graph(&corpus, allowed.as_deref(), None);
+            let list = self.config.strategy.candidate_pairs_cached(
+                &corpus,
+                &self.pool,
+                &mut self.signatures,
+            );
+            let graph = candidate_graph(&corpus, &list, None);
             er_obs::gauge_set(
                 "serve.dirty_components",
                 dirty_components(&graph, corpus.len(), self.resolved_records) as f64,
@@ -226,11 +224,8 @@ where
     if corpus.is_empty() {
         return Snapshot::empty(0);
     }
-    let allowed = match &config.strategy {
-        BlockingStrategy::TokenGraph => None,
-        strategy => Some(strategy.candidate_pairs(&corpus, &pool)),
-    };
-    let graph = candidate_graph(&corpus, allowed.as_deref(), None);
+    let list = config.strategy.candidate_pairs(&corpus, &pool);
+    let graph = candidate_graph(&corpus, &list, None);
     let outcome = resolve_graph(&corpus, &graph, &config.fusion, &pool, None);
     Snapshot::from_outcome(0, corpus.len(), &graph, outcome)
 }
@@ -279,6 +274,7 @@ fn dirty_components(graph: &BipartiteGraph, n_records: usize, resolved_records: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_text::token_blocking;
 
     fn texts() -> Vec<&'static str> {
         vec![
@@ -412,7 +408,7 @@ mod tests {
         let corpus = CorpusBuilder::new()
             .extend_texts(["a b", "a c", "d e", "d f", "g h"])
             .build();
-        let graph = candidate_graph(&corpus, None, None);
+        let graph = candidate_graph(&corpus, &token_blocking(&corpus, usize::MAX), None);
         // All records new: {0,1}, {2,3}, {4} → 3 dirty components.
         assert_eq!(dirty_components(&graph, 5, 0), 3);
         // Only record 4 new: its singleton component alone is dirty.

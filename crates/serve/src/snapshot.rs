@@ -249,13 +249,10 @@ impl QueryHandle {
 mod tests {
     use super::*;
     use er_core::{FusionConfig, Resolver};
-    use er_graph::BipartiteGraphBuilder;
 
     #[test]
     fn cluster_members_out_of_range_is_none() {
-        let graph = BipartiteGraphBuilder::new(3, 1)
-            .postings(0, &[0, 1])
-            .build();
+        let graph = BipartiteGraph::from_postings(3, &[[0, 1]]);
         let outcome = Resolver::new(FusionConfig::default()).resolve(&graph);
         let snap = Snapshot::from_outcome(1, 3, &graph, outcome);
         let n = snap.clusters().len() as u32;

@@ -13,19 +13,13 @@
 //! All strategies produce sorted `(a, b)` candidate pairs, and
 //! [`candidate_graph`] turns a corpus plus such a list into the term ↔
 //! pair bipartite graph every resolver consumes — the one place the
-//! batch pipeline, the serving engine and the baselines build it. It
-//! has two construction paths with one result:
-//!
-//! * **from the candidate list** (every strategy but
-//!   [`BlockingStrategy::TokenGraph`]): each listed pair's term row is
-//!   the merge-intersection of its two records' term sets, so the cost
-//!   is O(Σ_candidates |terms|) — linear in the list blocking kept;
-//! * **from the postings** (no list): every co-occurring pair of every
-//!   posting list, O(Σ_t df_t²). The token graph keeps this path
-//!   because co-occurrence is what defines its pair universe; there is
-//!   no list to walk until the enumeration has made one.
+//! batch pipeline, the serving engine and the baselines build it. Each
+//! listed pair's term row is the merge-intersection of its two records'
+//! term sets, so the build is O(Σ_candidates |terms|), linear in the
+//! list blocking kept. [`BlockingStrategy::TokenGraph`] is no exception:
+//! its list is [`token_blocking`] without a cap.
 
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder, PairNode};
+use er_graph::{BipartiteGraph, PairNode};
 use er_pool::WorkerPool;
 
 use crate::corpus::{for_each_shared, Corpus};
@@ -174,51 +168,24 @@ impl BlockingStrategy {
     }
 }
 
-/// Builds the term ↔ pair bipartite graph of `corpus`: every record
-/// pair sharing a post-filter term, restricted to `allowed` (a candidate
-/// list as [`BlockingStrategy`] produces; `None` admits every
-/// co-occurring pair) and to `policy` (e.g. cross-source only; `None`
-/// admits every pair). Term `t` links pair `{a, b}` iff `t` is in both
-/// records' term sets.
+/// Builds the term ↔ pair bipartite graph of `corpus` over the
+/// candidate `list` (as a [`BlockingStrategy`] produces it), restricted
+/// to `policy` (e.g. cross-source only; `None` admits every pair). Term
+/// `t` links pair `{a, b}` iff `t` is in both records' term sets.
 ///
-/// With a list the graph is built from it: the list is walked once,
-/// `policy` filters it, each surviving pair's term row is the
-/// merge-intersection of `corpus.term_set(a)` and `corpus.term_set(b)`,
-/// and pairs sharing no term are dropped — O(Σ_candidates |terms|).
-/// Without a list every co-occurring pair of every posting list is
-/// enumerated, O(Σ_t df_t²). Both paths give the same graph for the
-/// same pair universe, bit for bit.
+/// The list is walked once: `policy` filters it, each surviving pair's
+/// term row is the merge-intersection of `corpus.term_set(a)` and
+/// `corpus.term_set(b)`, and pairs sharing no term are dropped —
+/// O(Σ_candidates |terms|).
 ///
-/// Precondition on `allowed`: sorted ascending, deduplicated, and every
+/// Precondition on `list`: sorted ascending, deduplicated, and every
 /// pair `(a, b)` has `a < b < corpus.len()` (checked in debug builds).
 pub fn candidate_graph(
-    corpus: &Corpus,
-    allowed: Option<&[(u32, u32)]>,
-    policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
-) -> BipartiteGraph {
-    let _span = er_obs::span("graph.build");
-    match allowed {
-        Some(list) => graph_from_list(corpus, list, policy),
-        None => {
-            let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-            for t in 0..corpus.vocab_len() as u32 {
-                builder = builder.postings(t, corpus.postings(TermId(t)));
-            }
-            if let Some(f) = policy {
-                builder = builder.pair_filter(f);
-            }
-            builder.build()
-        }
-    }
-}
-
-/// [`candidate_graph`]'s list path: one pass over `list`, emitting each
-/// kept pair's shared terms as its row of the pair → term CSR.
-fn graph_from_list(
     corpus: &Corpus,
     list: &[(u32, u32)],
     policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
 ) -> BipartiteGraph {
+    let _span = er_obs::span("graph.build");
     debug_assert!(
         list.windows(2).all(|w| w[0] < w[1])
             && list
@@ -458,16 +425,16 @@ mod tests {
         let pairs = |g: &BipartiteGraph| -> Vec<(u32, u32)> {
             g.pairs().iter().map(|p| (p.a, p.b)).collect()
         };
-        let full = candidate_graph(&c, None, None);
-        assert_eq!(pairs(&full), token_blocking(&c, usize::MAX));
+        let all = token_blocking(&c, usize::MAX);
+        assert_eq!(pairs(&candidate_graph(&c, &all, None)), all);
         let allowed = [(0, 1), (0, 2)];
-        assert_eq!(pairs(&candidate_graph(&c, Some(&allowed), None)), [(0, 1)]);
+        assert_eq!(pairs(&candidate_graph(&c, &allowed, None)), [(0, 1)]);
         let odd_even = |a: u32, b: u32| a % 2 != b % 2;
         assert_eq!(
-            pairs(&candidate_graph(&c, None, Some(&odd_even))),
+            pairs(&candidate_graph(&c, &all, Some(&odd_even))),
             [(0, 1), (2, 3)]
         );
-        assert!(candidate_graph(&c, Some(&allowed), Some(&|_, _| false))
+        assert!(candidate_graph(&c, &allowed, Some(&|_, _| false))
             .pairs()
             .is_empty());
     }

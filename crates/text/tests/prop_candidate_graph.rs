@@ -1,56 +1,81 @@
-//! Equivalence of the two `candidate_graph` constructions.
+//! `candidate_graph` against the enumerate-then-filter oracle.
 //!
-//! With a candidate list, `candidate_graph` builds the bipartite graph
-//! from the list (merge-intersected term sets). The oracle here is the
-//! postings enumeration with the list applied as a binary-search pair
-//! filter: enumerate every co-occurring pair of every posting list and
-//! keep the listed ones that the policy admits. The two must agree bit
-//! for bit — pair universe, both CSR sides row for row, and `P_t`.
+//! `candidate_graph` builds the bipartite graph from a candidate list
+//! (merge-intersected term sets). The oracle here shares no code with
+//! it: it enumerates every co-occurring pair of every posting list,
+//! keeps the listed ones that the policy admits, and collects each kept
+//! pair's terms in plain collections. The two must agree exactly — pair
+//! universe, both CSR sides row for row, and `P_t` — for every blocking
+//! strategy, `TokenGraph` included.
 
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use std::collections::BTreeMap;
+
+use er_graph::BipartiteGraph;
 use er_pool::WorkerPool;
 use er_text::blocking::{candidate_graph, BlockingStrategy, MetaBlocking};
 use er_text::{Corpus, CorpusBuilder, LshParams, MetaConfig, Pruning, TermId};
 use proptest::prelude::*;
 
+type Policy<'a> = Option<&'a (dyn Fn(u32, u32) -> bool + Sync)>;
+
 /// The enumerate-then-filter construction: every co-occurring pair of
-/// every posting list, kept iff it is listed and the policy admits it.
+/// every posting list, kept iff it is listed and the policy admits it,
+/// mapped to the terms it co-occurs in (ascending).
 fn oracle(
     corpus: &Corpus,
     allowed: &[(u32, u32)],
-    policy: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
-) -> BipartiteGraph {
-    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
+    policy: Policy,
+) -> BTreeMap<(u32, u32), Vec<u32>> {
+    let mut rows: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
     for t in 0..corpus.vocab_len() as u32 {
-        builder = builder.postings(t, corpus.postings(TermId(t)));
+        let recs = corpus.postings(TermId(t));
+        for (i, &a) in recs.iter().enumerate() {
+            for &b in &recs[i + 1..] {
+                if policy.is_none_or(|f| f(a, b)) && allowed.binary_search(&(a, b)).is_ok() {
+                    rows.entry((a, b)).or_default().push(t);
+                }
+            }
+        }
     }
-    builder
-        .pair_filter(move |a, b| {
-            policy.is_none_or(|f| f(a, b)) && allowed.binary_search(&(a.min(b), a.max(b))).is_ok()
-        })
-        .build()
+    rows
 }
 
-fn assert_same_graph(got: &BipartiteGraph, want: &BipartiteGraph) {
+fn assert_graph_is(got: &BipartiteGraph, corpus: &Corpus, want: &BTreeMap<(u32, u32), Vec<u32>>) {
     assert!(got.validate().is_ok(), "{:?}", got.validate());
-    assert_eq!(got.pairs(), want.pairs());
-    assert_eq!(got.edge_count(), want.edge_count());
-    assert_eq!(got.term_count(), want.term_count());
-    assert_eq!(got.record_count(), want.record_count());
-    for p in 0..want.pair_count() as u32 {
-        assert_eq!(got.terms_of_pair(p), want.terms_of_pair(p), "pair {p}");
+    assert_eq!(got.record_count(), corpus.len());
+    assert_eq!(got.term_count(), corpus.vocab_len());
+    let pairs: Vec<(u32, u32)> = got.pairs().iter().map(|p| (p.a, p.b)).collect();
+    assert!(pairs.iter().eq(want.keys()), "pairs {pairs:?}");
+    let mut term_rows = vec![Vec::new(); corpus.vocab_len()];
+    for (p, terms) in want.values().enumerate() {
+        assert_eq!(got.terms_of_pair(p as u32), &terms[..], "pair {p}");
+        for &t in terms {
+            term_rows[t as usize].push(p as u32);
+        }
     }
-    for t in 0..want.term_count() as u32 {
-        assert_eq!(got.pairs_of_term(t), want.pairs_of_term(t), "term {t}");
-        assert_eq!(got.pt(t), want.pt(t), "pt of term {t}");
+    for (t, row) in term_rows.iter().enumerate() {
+        assert_eq!(got.pairs_of_term(t as u32), &row[..], "term {t}");
+        assert_eq!(got.pt(t as u32) as usize, row.len(), "pt of term {t}");
     }
+    assert_eq!(got.edge_count(), want.values().map(Vec::len).sum::<usize>());
+}
+
+/// A corpus over `texts`; below 20 % `max_df_pct` sets no frequent-term
+/// filter.
+fn corpus(texts: Vec<String>, max_df_pct: u32) -> Corpus {
+    let mut builder = CorpusBuilder::new().extend_texts(texts);
+    if max_df_pct >= 20 {
+        builder = builder.max_df_fraction(f64::from(max_df_pct) / 100.0);
+    }
+    builder.build()
 }
 
 fn texts() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-h]( [a-h]){0,5}", 2..24)
 }
 
-/// Every non-`TokenGraph` strategy, with small parameters so tiny
+/// Every strategy but `TokenGraph` (which has its own property), with
+/// small parameters so tiny
 /// corpora still produce candidates. `kind` picks the scheme; for
 /// meta-blocking, `sources` picks token blocks (0), LSH buckets (1) or
 /// both (2).
@@ -114,17 +139,30 @@ proptest! {
         max_df_pct in 0u32..90,
         source_mod in 0u32..3,
     ) {
-        let mut builder = CorpusBuilder::new().extend_texts(texts);
-        // Below 20 %: no frequent-term filter.
-        if max_df_pct >= 20 {
-            builder = builder.max_df_fraction(f64::from(max_df_pct) / 100.0);
-        }
-        let corpus = builder.build();
+        let corpus = corpus(texts, max_df_pct);
         let list = strategy.candidate_pairs(&corpus, &WorkerPool::new(1));
         let cross = cross_source(source_mod);
         let policy = (source_mod > 0).then_some(&cross as &(dyn Fn(u32, u32) -> bool + Sync));
-        let got = candidate_graph(&corpus, Some(&list), policy);
-        assert_same_graph(&got, &oracle(&corpus, &list, policy));
+        let got = candidate_graph(&corpus, &list, policy);
+        assert_graph_is(&got, &corpus, &oracle(&corpus, &list, policy));
+    }
+
+    #[test]
+    fn token_graph_is_every_co_occurring_pair(
+        texts in texts(),
+        max_df_pct in 0u32..90,
+        source_mod in 0u32..3,
+    ) {
+        let corpus = corpus(texts, max_df_pct);
+        let list = BlockingStrategy::TokenGraph.candidate_pairs(&corpus, &WorkerPool::new(1));
+        let cross = cross_source(source_mod);
+        let policy = (source_mod > 0).then_some(&cross as &(dyn Fn(u32, u32) -> bool + Sync));
+        let got = candidate_graph(&corpus, &list, policy);
+        // The list filters nothing the enumeration finds.
+        let every_pair: Vec<(u32, u32)> = (0..corpus.len() as u32)
+            .flat_map(|a| (a + 1..corpus.len() as u32).map(move |b| (a, b)))
+            .collect();
+        assert_graph_is(&got, &corpus, &oracle(&corpus, &every_pair, policy));
     }
 
     #[test]
@@ -137,8 +175,8 @@ proptest! {
         let list = arbitrary_list(corpus.len(), &raw);
         let cross = cross_source(source_mod);
         let policy = (source_mod > 0).then_some(&cross as &(dyn Fn(u32, u32) -> bool + Sync));
-        let got = candidate_graph(&corpus, Some(&list), policy);
-        assert_same_graph(&got, &oracle(&corpus, &list, policy));
+        let got = candidate_graph(&corpus, &list, policy);
+        assert_graph_is(&got, &corpus, &oracle(&corpus, &list, policy));
         for p in got.pairs() {
             prop_assert!(corpus.shared_term_count(p.a as usize, p.b as usize) >= 1);
         }
@@ -160,9 +198,8 @@ fn sorted_neighborhood_lists_pairs_sharing_no_term() {
         .build();
     let list = BlockingStrategy::SortedNeighborhood { window: 3 }
         .candidate_pairs(&corpus, &WorkerPool::new(1));
-    let got = candidate_graph(&corpus, Some(&list), None);
+    let got = candidate_graph(&corpus, &list, None);
     assert!(got.pair_count() < list.len(), "{list:?}");
-    let want = oracle(&corpus, &list, None);
-    assert_eq!(got.pairs(), want.pairs());
+    assert_graph_is(&got, &corpus, &oracle(&corpus, &list, None));
     assert_eq!(got.pairs().len(), 2, "{:?}", got.pairs());
 }

@@ -56,7 +56,7 @@ pub mod prelude {
         Dataset, PaperConfig, ProductConfig, Record, RestaurantConfig, SourcePolicy,
     };
     pub use er_eval::{ConfusionCounts, TruthPairs};
-    pub use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+    pub use er_graph::BipartiteGraph;
     pub use er_serve::{QueryHandle, ServeConfig, ServeEngine};
     pub use er_text::{Corpus, CorpusBuilder};
 }
@@ -100,12 +100,11 @@ pub mod pipeline {
     }
 
     /// [`prepare_with`] under an explicit [`BlockingStrategy`]: the
-    /// strategy generates the candidate universe and the bipartite
-    /// graph's pair enumeration is restricted to it (composed with the
-    /// dataset's candidate policy). [`BlockingStrategy::TokenGraph`] is
-    /// the unrestricted token graph; the scalable strategies (LSH,
-    /// meta-blocking) shrink the graph before ITER/CliqueRank ever see
-    /// it.
+    /// strategy generates the candidate list and the bipartite graph is
+    /// built over it (composed with the dataset's candidate policy).
+    /// [`BlockingStrategy::TokenGraph`]'s list is every pair sharing a
+    /// post-filter term; the scalable strategies (LSH, meta-blocking)
+    /// shrink the graph before ITER/CliqueRank ever see it.
     pub fn prepare_with_strategy(
         dataset: &Dataset,
         max_df_fraction: f64,
@@ -116,15 +115,12 @@ pub mod pipeline {
             .extend_texts(dataset.texts())
             .max_df_fraction(max_df_fraction)
             .build();
-        let allowed = match strategy {
-            BlockingStrategy::TokenGraph => None,
-            _ => Some(strategy.candidate_pairs(&corpus, pool)),
-        };
+        let list = strategy.candidate_pairs(&corpus, pool);
         let sources = dataset.sources();
         let cross = |a: u32, b: u32| sources[a as usize] != sources[b as usize];
         let policy = (dataset.policy == SourcePolicy::CrossSourceOnly)
             .then_some(&cross as &(dyn Fn(u32, u32) -> bool + Sync));
-        let graph = candidate_graph(&corpus, allowed.as_deref(), policy);
+        let graph = candidate_graph(&corpus, &list, policy);
         let truth = TruthPairs::from_pairs(dataset.matching_pairs());
         Prepared {
             corpus,
